@@ -28,14 +28,6 @@
 //   \fusion on|off                  pipelined/static backends: single-pass
 //                                   fused expression execution (ExprProgram
 //                                   compiler + vectorized morsel interpreter)
-//   \expr default|interp|simd       pipelined/static backends: execution tier
-//                                   for fused ExprPrograms — the vectorized
-//                                   interpreter or the CPUID-dispatched SIMD
-//                                   kernels (default resolves from
-//                                   TQP_EXPR_BACKEND; results bit-identical)
-//   \adaptive on|off                pipelined backend: adapt morsel size
-//                                   toward a target per-morsel service time
-//                                   (bounded; results bit-identical)
 //   \partitions on|off              parallel/pipelined backends: evaluate
 //                                   pipeline breakers (join build, group-by,
 //                                   sort) through the radix-partitioned
@@ -125,9 +117,6 @@ struct ShellState {
   int num_threads = 0;      // parallel backend: 0 = process-wide pool
   int64_t morsel_rows = 0;  // parallel backend: 0 = default morsel size
   bool expr_fusion = true;  // pipelined/static: fused expression execution
-  // pipelined/static: expression tier (kDefault -> TQP_EXPR_BACKEND).
-  ExprBackend expr_backend = ExprBackend::kDefault;
-  bool adaptive_morsels = false;  // pipelined: service-time morsel sizing
   // parallel/pipelined: radix-partitioned pipeline breakers (grace join,
   // partitioned aggregation, external sort).
   bool partitioned_breakers = false;
@@ -194,6 +183,19 @@ bool ParseInt64(const std::string& text, int64_t* out) {
   return true;
 }
 
+CompileOptions OptionsFromState(const ShellState& state) {
+  CompileOptions options;
+  options.target = state.target;
+  options.device = state.device;
+  options.num_threads = state.num_threads;
+  options.morsel_rows = state.morsel_rows;
+  options.expr_fusion = state.expr_fusion;
+  options.partitioned_breakers = state.partitioned_breakers;
+  options.memory_budget_bytes = state.budget_mb << 20;
+  options.deadline_ms = state.timeout_ms;
+  return options;
+}
+
 void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
   Stopwatch watch;
   Result<Table> result_or = Status::Internal("unset");
@@ -216,17 +218,7 @@ void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
     result_or = columnar.ExecuteSql(sql);
   } else {
     QueryCompiler compiler;
-    CompileOptions options;
-    options.target = state->target;
-    options.device = state->device;
-    options.num_threads = state->num_threads;
-    options.morsel_rows = state->morsel_rows;
-    options.expr_fusion = state->expr_fusion;
-    options.expr_backend = state->expr_backend;
-    options.adaptive_morsels = state->adaptive_morsels;
-    options.partitioned_breakers = state->partitioned_breakers;
-    options.memory_budget_bytes = state->budget_mb << 20;
-    options.deadline_ms = state->timeout_ms;
+    const CompileOptions options = OptionsFromState(*state);
     watch.Reset();
     auto compiled_or = compiler.CompileSql(sql, catalog, options);
     compile_ms = watch.ElapsedSeconds() * 1e3;
@@ -318,8 +310,6 @@ void ExplainPipelines(const std::string& sql, const Catalog& catalog,
   options.num_threads = state.num_threads;
   options.morsel_rows = state.morsel_rows;
   options.expr_fusion = state.expr_fusion;
-  options.expr_backend = state.expr_backend;
-  options.adaptive_morsels = state.adaptive_morsels;
   options.partitioned_breakers = state.partitioned_breakers;
   auto compiled_or = compiler.CompileSql(sql, catalog, options);
   if (!compiled_or.ok()) {
@@ -353,21 +343,6 @@ void ExplainPipelines(const std::string& sql, const Catalog& catalog,
       static_cast<const PipelinedExecutor*>(compiled.executor());
   std::printf("\nexpression fusion (after one run):\n%s",
               pipelined->FusionReport().c_str());
-}
-
-CompileOptions OptionsFromState(const ShellState& state) {
-  CompileOptions options;
-  options.target = state.target;
-  options.device = state.device;
-  options.num_threads = state.num_threads;
-  options.morsel_rows = state.morsel_rows;
-  options.expr_fusion = state.expr_fusion;
-  options.expr_backend = state.expr_backend;
-  options.adaptive_morsels = state.adaptive_morsels;
-  options.partitioned_breakers = state.partitioned_breakers;
-  options.memory_budget_bytes = state.budget_mb << 20;
-  options.deadline_ms = state.timeout_ms;
-  return options;
 }
 
 // Runs <sql> once with whole-lifecycle tracing attached and writes the
@@ -769,29 +744,6 @@ int main(int argc, char** argv) {
         std::printf("expression fusion %s\n", f.c_str());
       } else {
         std::printf("usage: \\fusion on|off\n");
-      }
-      continue;
-    }
-    if (line.rfind("\\expr ", 0) == 0) {
-      const std::string b = line.substr(6);
-      if (b == "default") state.expr_backend = ExprBackend::kDefault;
-      else if (b == "interp") state.expr_backend = ExprBackend::kInterp;
-      else if (b == "simd") state.expr_backend = ExprBackend::kSimd;
-      else {
-        std::printf("usage: \\expr default|interp|simd\n");
-        continue;
-      }
-      std::printf("expression backend = %s (resolves to %s)\n", b.c_str(),
-                  ExprBackendName(ResolveExprBackend(state.expr_backend)));
-      continue;
-    }
-    if (line.rfind("\\adaptive ", 0) == 0) {
-      const std::string a = line.substr(10);
-      if (a == "on" || a == "off") {
-        state.adaptive_morsels = a == "on";
-        std::printf("adaptive morsel sizing %s\n", a.c_str());
-      } else {
-        std::printf("usage: \\adaptive on|off\n");
       }
       continue;
     }

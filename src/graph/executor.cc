@@ -1,8 +1,5 @@
 #include "graph/executor.h"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "graph/eager_executor.h"
 #include "graph/interp_executor.h"
 #include "graph/static_executor.h"
@@ -10,30 +7,6 @@
 #include "runtime/pipelined_executor.h"
 
 namespace tqp {
-
-const char* ExprBackendName(ExprBackend backend) {
-  switch (backend) {
-    case ExprBackend::kDefault:
-      return "default";
-    case ExprBackend::kInterp:
-      return "interp";
-    case ExprBackend::kSimd:
-      return "simd";
-  }
-  return "?";
-}
-
-ExprBackend ResolveExprBackend(ExprBackend backend) {
-  if (backend != ExprBackend::kDefault) return backend;
-  static const ExprBackend env_default = [] {
-    const char* v = std::getenv("TQP_EXPR_BACKEND");
-    if (v != nullptr && std::string_view(v) == "simd") {
-      return ExprBackend::kSimd;
-    }
-    return ExprBackend::kInterp;
-  }();
-  return env_default;
-}
 
 Result<std::unique_ptr<Executor>> MakeExecutor(
     ExecutorTarget target, std::shared_ptr<const TensorProgram> program,

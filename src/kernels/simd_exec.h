@@ -1,90 +1,33 @@
-#ifndef TQP_KERNELS_SIMD_EXEC_H_
-#define TQP_KERNELS_SIMD_EXEC_H_
+#ifndef TQP_KERNELS_HOST_ISA_PROBE_H_
+#define TQP_KERNELS_HOST_ISA_PROBE_H_
 
 #include <cstdint>
 
-#include "common/result.h"
-#include "kernels/kernel_types.h"
-#include "tensor/dtype.h"
-
 namespace tqp::kernels::simd {
 
-/// The SIMD execution tier for fused ExprPrograms: explicit vector kernels
-/// for the instruction shapes the TPC-H traces show dominate fused runs —
-/// arithmetic chains (mul+add / mul+sub), predicate construction
-/// (compare+and), promotion-then-compare (cast+compare) and selection-vector
-/// compress. Everything here consumes the per-lane functors of
-/// kernels/lane_ops.h, so a fused pair computes exactly the composition the
-/// interpreter would compute in two sweeps; with contraction disabled
-/// (-ffp-contract=off on these TUs) results are bit-identical to the
-/// interpreter and therefore to eager evaluation.
-///
-/// Two implementations of every entry point are compiled:
-///  - a portable one (simd_exec.cc, `#pragma omp simd` over the lane
-///    functors, plain target flags) that exists on every build, and
-///  - an AVX2 one (simd_exec_avx2.cc, compiled -mavx2 in its own TU, with
-///    hand-written intrinsics for the hottest float64 shapes and the
-///    selection-vector compress).
-/// Entry points dispatch on ActiveLevel(), resolved once per process via
-/// CPUID (__builtin_cpu_supports) — AVX2 code is never reached on hosts
-/// without it, and builds configured with TQP_DISABLE_AVX2 (or non-x86
-/// targets) contain only the portable TU.
+/// Host vector-ISA probe for benchmark host records. It reports what the
+/// CPU offers and selects nothing: fused expression runs always execute
+/// through the ExprProgram interpreter (kernels/expr_exec.h), whose typed
+/// loops the compiler auto-vectorizes for the build's target flags.
 
-/// \brief Vector ISA levels the dispatcher distinguishes.
+/// \brief Vector ISA levels a host record distinguishes.
 enum class SimdLevel : int8_t {
-  kScalar = 0,  // portable TU (autovectorized / omp simd)
-  kAvx2 = 1,    // hand + avx2-compiled kernels, CPUID-gated
+  kScalar = 0,
+  kAvx2 = 1,
 };
 
-const char* SimdLevelName(SimdLevel level);
+inline const char* SimdLevelName(SimdLevel level) {
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
+}
 
-/// \brief The level fused kernels will execute at: the CPUID-detected level,
-/// unless overridden by ForceScalarForTesting.
-SimdLevel ActiveLevel();
-
-/// \brief Test hook: pretend the host has no vector ISA so the portable
-/// fallback path is exercised on AVX2 hardware. Not for production use.
-void ForceScalarForTesting(bool on);
-
-/// \brief One fused-kernel operand: raw lanes plus broadcast-ness (scalar
-/// operands hold a single value at data[0]).
-struct LaneRef {
-  const uint8_t* data = nullptr;
-  bool scalar = false;
-};
-
-// ---------------------------------------------------------------------------
-// Fused entry points. Shapes mirror the instruction pairs the coverage
-// planner (compile/expr_simd.h) marks; support predicates below tell the
-// planner exactly what will dispatch, so a planned step never fails at
-// runtime for a coverage reason.
-// ---------------------------------------------------------------------------
-
-/// \brief dst = t op2 c (t_left) or c op2 t, where t = a op1 b. All lanes of
-/// element type `dtype`.
-Status FusedBinBin(DType dtype, BinaryOpKind op1, BinaryOpKind op2,
-                   bool t_left, LaneRef a, LaneRef b, LaneRef c, uint8_t* dst,
-                   int64_t n);
-bool SupportsBinBin(DType dtype, BinaryOpKind op1, BinaryOpKind op2);
-
-/// \brief bool dst = (a cmp b) && c, with a/b lanes of `in_dtype` and c a
-/// bool mask (conjunction of lane values commutes, so operand order of the
-/// kLogical instruction does not matter).
-Status FusedCmpAnd(DType in_dtype, CompareOpKind cmp, LaneRef a, LaneRef b,
-                   LaneRef c, uint8_t* dst, int64_t n);
-bool SupportsCmpAnd(DType in_dtype);
-
-/// \brief bool dst = cast<to>(a) cmp b (t_left) or b cmp cast<to>(a), with a
-/// lanes of `from` and b lanes of `to`.
-Status FusedCastCmp(DType from, DType to, CompareOpKind cmp, bool t_left,
-                    LaneRef a, LaneRef b, uint8_t* dst, int64_t n);
-bool SupportsCastCmp(DType from, DType to);
-
-/// \brief Compresses the true lanes of `mask` into ascending local indices
-/// in `sel` (capacity >= n) and returns the survivor count — the vectorized
-/// form of the interpreter's kSelVec (count, then emit).
-int64_t SelVecCompress(const uint8_t* mask, int64_t n, int64_t* sel);
+/// \brief The host's vector ISA level (CPUID on x86-64, scalar elsewhere).
+inline SimdLevel ActiveLevel() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+#endif
+  return SimdLevel::kScalar;
+}
 
 }  // namespace tqp::kernels::simd
 
-#endif  // TQP_KERNELS_SIMD_EXEC_H_
+#endif  // TQP_KERNELS_HOST_ISA_PROBE_H_

@@ -55,9 +55,9 @@ class DecisionTree {
 };
 
 /// \brief Tensor-compilation strategies for trees — the two Hummingbird
-/// strategies TQP inherits (paper §3.3, DESIGN.md ABL4): kGemm turns the tree
-/// into three dense matmuls; kTreeTraversal iterates gather-based descent
-/// `depth` times.
+/// strategies TQP inherits (paper §3.3, compared in bench/abl_hummingbird):
+/// kGemm turns the tree into three dense matmuls; kTreeTraversal iterates
+/// gather-based descent `depth` times.
 enum class TreeStrategy : int8_t { kGemm = 0, kTreeTraversal = 1 };
 
 const char* TreeStrategyName(TreeStrategy s);

@@ -14,7 +14,8 @@ namespace tqp {
 /// \brief Physical operator choices. The defaults are the paper's: TQP
 /// implements joins with sort + searchsorted and aggregation with sort +
 /// segmented reductions, both GPU-friendly tensor shapes; hash variants are
-/// provided for the ablation studies (DESIGN.md ABL2/ABL3).
+/// provided for the join and group-by ablations (bench/abl_join,
+/// bench/abl_groupby).
 struct PhysicalOptions {
   JoinAlgo join_algo = JoinAlgo::kSortMerge;
   AggAlgo agg_algo = AggAlgo::kSort;

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sync.h"
-
 namespace tqp::runtime {
 
 /// Morsel-driven parallelism (Leis et al., SIGMOD'14) adapted to the tensor
@@ -29,42 +27,6 @@ int64_t DefaultMorselRows();
 /// \brief Splits [0, rows) into morsels of at most `morsel_rows` rows.
 /// `morsel_rows <= 0` selects DefaultMorselRows().
 std::vector<RowRange> PartitionRows(int64_t rows, int64_t morsel_rows);
-
-/// \brief Whether adaptive morsel sizing is on by default for executors that
-/// left ExecOptions::adaptive_morsels unset (TQP_ADAPTIVE_MORSEL=1).
-bool DefaultAdaptiveMorsels();
-
-/// \brief Service-time-driven morsel sizing: observes per-morsel wall times
-/// and steers the morsel size toward a target per-morsel service time
-/// (~1 ms), so cheap chains get large morsels (amortized dispatch) and
-/// expensive chains get small ones (load balance, cache residency).
-///
-/// The recommendation only moves geometrically (at most 2x per adjustment)
-/// and stays inside [kMinRows, kMaxRows], so one noisy observation cannot
-/// swing it. Results are unaffected by construction: executors read rows()
-/// once per pipeline run and chunk assembly is bit-identical at any morsel
-/// size — only wall time and scheduling granularity change.
-class AdaptiveMorselController {
- public:
-  static constexpr int64_t kMinRows = 256;
-  static constexpr int64_t kMaxRows = int64_t{1} << 20;
-  static constexpr int64_t kTargetNanos = 1'000'000;  // ~1 ms per morsel
-
-  explicit AdaptiveMorselController(int64_t initial_rows);
-
-  /// Current recommendation (clamped to [kMinRows, kMaxRows]).
-  int64_t rows() const;
-
-  /// Feeds one completed morsel's size and wall time. Thread-safe; called
-  /// from worker threads as morsels finish.
-  void Observe(int64_t rows, int64_t wall_nanos);
-
- private:
-  mutable Mutex mu_;
-  int64_t rows_ TQP_GUARDED_BY(mu_);
-  /// < 0 until the first observation.
-  double ewma_nanos_per_row_ TQP_GUARDED_BY(mu_) = -1.0;
-};
 
 }  // namespace tqp::runtime
 

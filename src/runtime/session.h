@@ -101,7 +101,11 @@ struct SchedulerOptions {
   ThreadPool* pool = nullptr;
   /// Backend/device every admitted query compiles for. The default target is
   /// the morsel-driven ParallelExecutor on the shared pool; kPipelined
-  /// streams morsels through fused operator chains instead.
+  /// streams morsels through fused operator chains instead. kParallel stays
+  /// the default because it wins under concurrent load: on the benchmark's
+  /// tpch_budget workload (4 queries in flight, Q3/Q9/Q18/Q21 at SF 0.1,
+  /// 16 MiB per-query budget) a kPipelined default cut throughput from
+  /// about 6.1 to about 2.4 queries/s.
   CompileOptions compile;
   /// Whole-lifecycle tracing (not owned; must outlive the scheduler). When
   /// set, every admitted query records admission, queue wait, compile /

@@ -345,8 +345,7 @@ GROUP BY cntrycode
 ORDER BY cntrycode)");
     default:
       return Status::NotImplemented(
-          "TPC-H Q" + std::to_string(number) +
-          " needs features outside this reproduction's subset (see DESIGN.md)");
+          "TPC-H has no query " + std::to_string(number) + " (valid: 1-22)");
   }
 }
 

@@ -10,13 +10,10 @@ namespace tqp::tpch {
 
 /// \brief SQL text of TPC-H query `number` in TQP's dialect.
 ///
-/// Supported: Q1, Q3, Q4, Q5, Q6, Q10, Q12, Q14, Q18, Q19 — filters over all
-/// column types, multi-way joins, multi-key group-bys, CASE/LIKE/IN,
-/// EXISTS and IN-subquery (rewritten to semi-joins), ORDER BY + LIMIT.
-/// Q19 uses the standard factored form (join predicate outside the OR),
-/// which is the variant most engines and the dbgen qgen templates use.
-/// Unsupported query numbers return NotImplemented (they need NULL-aware
-/// outer joins or correlated scalar subqueries; see DESIGN.md §5).
+/// All 22 queries are supported (see SupportedQueries()). Q19 uses the
+/// standard factored form (join predicate outside the OR), which is the
+/// variant most engines and the dbgen qgen templates use. Numbers outside
+/// 1-22 return NotImplemented.
 Result<std::string> QueryText(int number);
 
 /// \brief The query numbers this reproduction supports, in order.

@@ -22,10 +22,8 @@
 #include "graph/static_executor.h"
 #include "kernels/expr_exec.h"
 #include "kernels/kernels.h"
-#include "kernels/simd_exec.h"
 #include "ml/linear.h"
 #include "ml/tree.h"
-#include "runtime/morsel.h"
 #include "runtime/pipelined_executor.h"
 #include "tensor/buffer_pool.h"
 #include "tpch/dbgen.h"
@@ -100,26 +98,16 @@ int CountInstrs(const ExprProgram& ep, ExprOpCode code) {
   return n;
 }
 
-/// One fused-execution configuration under test: node-at-a-time, the
-/// vectorized interpreter, or the SIMD tier. All three must be bit-identical.
+/// One fused-execution configuration under test: node-at-a-time or the
+/// vectorized interpreter. Both must be bit-identical.
 struct ExecTier {
   bool fusion;
-  ExprBackend backend;
   const char* name;
 };
 
 constexpr ExecTier kExecTiers[] = {
-    {false, ExprBackend::kInterp, "unfused"},
-    {true, ExprBackend::kInterp, "fused/interp"},
-    {true, ExprBackend::kSimd, "fused/simd"},
-};
-
-/// Restores the CPUID dispatch override on scope exit.
-struct ForceScalarGuard {
-  explicit ForceScalarGuard(bool on) {
-    kernels::simd::ForceScalarForTesting(on);
-  }
-  ~ForceScalarGuard() { kernels::simd::ForceScalarForTesting(false); }
+    {false, "unfused"},
+    {true, "fused"},
 };
 
 // ---- ExprProgram lowering units --------------------------------------------
@@ -565,7 +553,6 @@ TEST(ExprFusionPropertyTest, RandomChainsBitIdenticalToEager) {
           options.num_threads = threads;
           options.morsel_rows = morsel;
           options.expr_fusion = tier.fusion;
-          options.expr_backend = tier.backend;
           auto pipelined =
               MakeExecutor(ExecutorTarget::kPipelined, program, options)
                   .ValueOrDie();
@@ -620,7 +607,6 @@ TEST_F(ExprFusionTpchTest, FusedAndUnfusedBitIdenticalToEagerOnTpch) {
         options.num_threads = threads;
         options.morsel_rows = 1000;
         options.expr_fusion = tier.fusion;
-        options.expr_backend = tier.backend;
         Table result = compiler.CompileSql(sql, *catalog_, options)
                            .ValueOrDie()
                            .Run(*catalog_)
@@ -648,56 +634,17 @@ TEST_F(ExprFusionTpchTest, FusedExactAcrossMorselSizes) {
                           .Run(*catalog_)
                           .ValueOrDie();
     for (int64_t morsel : {1, 7, 977, 1 << 20}) {
-      for (const ExprBackend backend :
-           {ExprBackend::kInterp, ExprBackend::kSimd}) {
-        CompileOptions options;
-        options.target = ExecutorTarget::kPipelined;
-        options.num_threads = 4;
-        options.morsel_rows = morsel;
-        options.expr_fusion = true;
-        options.expr_backend = backend;
-        Table result = compiler.CompileSql(sql, *catalog_, options)
-                           .ValueOrDie()
-                           .Run(*catalog_)
-                           .ValueOrDie();
-        std::string what = "Q";
-        what += std::to_string(q);
-        what += " morsel ";
-        what += std::to_string(morsel);
-        what += " ";
-        what += ExprBackendName(backend);
-        ExpectTablesIdentical(result, reference, what);
-      }
-    }
-  }
-}
-
-TEST_F(ExprFusionTpchTest, SimdExactAcrossMorselSizesOnTpch) {
-  // The SIMD tier must be bit-identical to eager at every morsel size —
-  // including 1-row morsels, where every vector kernel runs its scalar tail
-  // path and fused pairs see a single lane.
-  QueryCompiler compiler;
-  for (int q : {3, 10, 12, 14}) {
-    const std::string sql = tpch::QueryText(q).ValueOrDie();
-    CompileOptions eager_options;
-    eager_options.target = ExecutorTarget::kEager;
-    Table reference = compiler.CompileSql(sql, *catalog_, eager_options)
-                          .ValueOrDie()
-                          .Run(*catalog_)
-                          .ValueOrDie();
-    for (int64_t morsel : {1, 977, 1 << 20}) {
       CompileOptions options;
       options.target = ExecutorTarget::kPipelined;
       options.num_threads = 4;
       options.morsel_rows = morsel;
       options.expr_fusion = true;
-      options.expr_backend = ExprBackend::kSimd;
       Table result = compiler.CompileSql(sql, *catalog_, options)
                          .ValueOrDie()
                          .Run(*catalog_)
                          .ValueOrDie();
       ExpectTablesIdentical(result, reference,
-                            "Q" + std::to_string(q) + " simd morsel " +
+                            "Q" + std::to_string(q) + " morsel " +
                                 std::to_string(morsel));
     }
   }
@@ -723,43 +670,6 @@ TEST_F(ExprFusionTpchTest, PipelinesActuallyFuseAndReportRuns) {
   const std::string report = pipelined->FusionReport();
   EXPECT_NE(report.find("fused run"), std::string::npos) << report;
   EXPECT_NE(report.find("selvec"), std::string::npos) << report;
-}
-
-TEST_F(ExprFusionTpchTest, SimdTierActuallyCoversAndCountsOnQ6) {
-  // Under kSimd the Q6 predicate/arithmetic chain must actually route morsels
-  // through the SIMD tier (not silently fall back to the interpreter), and
-  // the per-run execution tallies + FusionReport must say so. Holds on any
-  // host: without AVX2 the portable vectorized TU serves the same plan.
-  QueryCompiler compiler;
-  CompileOptions options;
-  options.target = ExecutorTarget::kPipelined;
-  options.num_threads = 1;
-  options.expr_backend = ExprBackend::kSimd;
-  CompiledQuery q =
-      compiler.CompileSql(tpch::QueryText(6).ValueOrDie(), *catalog_, options)
-          .ValueOrDie();
-  TQP_CHECK_OK(q.Run(*catalog_).status());
-  auto* pipelined = static_cast<PipelinedExecutor*>(q.executor());
-  EXPECT_EQ(pipelined->expr_backend(), ExprBackend::kSimd);
-  int64_t simd_morsels = 0;
-  int64_t simd_instrs = 0;
-  int64_t planned_simd_instrs = 0;
-  for (size_t i = 0; i < pipelined->plan().pipelines.size(); ++i) {
-    auto fusion = pipelined->pipeline_fusion(static_cast<int>(i));
-    if (fusion == nullptr) continue;
-    for (const auto& run : fusion->runs) {
-      if (run.simd != nullptr) planned_simd_instrs += run.simd->num_covered;
-      if (run.exec_stats == nullptr) continue;
-      simd_morsels += run.exec_stats->simd_morsels.load();
-      simd_instrs += run.exec_stats->simd_instrs.load();
-    }
-  }
-  const std::string report = pipelined->FusionReport();
-  EXPECT_GT(planned_simd_instrs, 0) << report;
-  EXPECT_GT(simd_morsels, 0) << report;
-  EXPECT_GT(simd_instrs, 0) << report;
-  EXPECT_NE(report.find("expr backend: simd"), std::string::npos) << report;
-  EXPECT_NE(report.find("executed: simd="), std::string::npos) << report;
 }
 
 TEST(ExprFusionMlTest, FusedBitIdenticalToInterpOnPredictionPipeline) {
@@ -847,7 +757,7 @@ std::shared_ptr<TensorProgram> MakeChainProgram() {
 
 TEST(StaticExecutorExprFusionTest, GroupsCompileToExprProgramsBitIdentical) {
   auto program = MakeChainProgram();
-  const int64_t n = 200000;  // above 2 * fusion_block_rows: blocked path
+  const int64_t n = 200000;  // above two 32k-row fusion blocks: blocked path
   Tensor x = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
   Rng rng(7);
   for (int64_t i = 0; i < n; ++i) {
@@ -872,101 +782,6 @@ TEST(StaticExecutorExprFusionTest, GroupsCompileToExprProgramsBitIdentical) {
       EXPECT_EQ(st->num_expr_fused_groups(), 0);
     }
   }
-}
-
-// ---- SIMD dispatch: forced-scalar fallback -----------------------------------
-
-TEST(SimdFallbackTest, ForcedScalarLevelStaysBitIdentical) {
-  // ForceScalarForTesting pretends the host has no vector ISA: every fused
-  // kernel must dispatch to the portable TU and still match eager bit for
-  // bit. This is the non-AVX2-host path exercised on AVX2 hardware.
-  auto program = MakeChainProgram();
-  const int64_t n = 5003;  // odd size: vector body + scalar tail
-  Tensor x = Tensor::Empty(DType::kFloat64, n, 1).ValueOrDie();
-  Rng rng(42);
-  for (int64_t i = 0; i < n; ++i) {
-    x.mutable_data<double>()[i] = rng.UniformDouble(-50, 150);
-  }
-  auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
-  const std::vector<Tensor> want = eager->Run({x}).ValueOrDie();
-  for (const bool force : {true, false}) {
-    ForceScalarGuard guard(force);
-    if (force) {
-      ASSERT_EQ(kernels::simd::ActiveLevel(), kernels::simd::SimdLevel::kScalar)
-          << "forcing must report the scalar level";
-    }
-    ExecOptions options;
-    options.num_threads = 2;
-    options.morsel_rows = 512;
-    options.expr_fusion = true;
-    options.expr_backend = ExprBackend::kSimd;
-    auto exec = MakeExecutor(ExecutorTarget::kPipelined, program, options)
-                    .ValueOrDie();
-    const std::vector<Tensor> got = exec->Run({x}).ValueOrDie();
-    ASSERT_EQ(got.size(), want.size());
-    ExpectTensorsIdentical(got[0], want[0],
-                           force ? "simd forced-scalar" : "simd native level");
-  }
-}
-
-// ---- Adaptive morsel sizing --------------------------------------------------
-
-TEST(AdaptiveMorselControllerTest, StepsAreGeometricAndBounded) {
-  runtime::AdaptiveMorselController c(16384);
-  EXPECT_EQ(c.rows(), 16384);
-  // 16384 rows took 4 ms against the 1 ms target: desired size is 4096, but
-  // a single observation may at most halve -> 8192.
-  c.Observe(16384, 4'000'000);
-  EXPECT_EQ(c.rows(), 8192);
-  // Near-free morsels: grows geometrically until the upper bound.
-  for (int i = 0; i < 40; ++i) c.Observe(c.rows(), 1);
-  EXPECT_EQ(c.rows(), runtime::AdaptiveMorselController::kMaxRows);
-  // Pathologically slow morsels: shrinks to the lower bound, never below.
-  for (int i = 0; i < 40; ++i) c.Observe(c.rows(), 1'000'000'000);
-  EXPECT_EQ(c.rows(), runtime::AdaptiveMorselController::kMinRows);
-  // Degenerate observations are ignored.
-  c.Observe(0, 100);
-  c.Observe(100, 0);
-  EXPECT_EQ(c.rows(), runtime::AdaptiveMorselController::kMinRows);
-  // The initial size is clamped into bounds too.
-  EXPECT_EQ(runtime::AdaptiveMorselController(1).rows(),
-            runtime::AdaptiveMorselController::kMinRows);
-  EXPECT_EQ(runtime::AdaptiveMorselController(int64_t{1} << 30).rows(),
-            runtime::AdaptiveMorselController::kMaxRows);
-}
-
-TEST_F(ExprFusionTpchTest, AdaptiveMorselSizingIsDeterministicAndBounded) {
-  // Adaptive sizing only moves the per-run morsel decomposition; results
-  // must stay bit-identical to eager across repeated runs even as the size
-  // drifts between them, and the size must stay inside the controller's
-  // bounds.
-  QueryCompiler compiler;
-  const std::string sql = tpch::QueryText(1).ValueOrDie();
-  CompileOptions eager_options;
-  eager_options.target = ExecutorTarget::kEager;
-  Table reference = compiler.CompileSql(sql, *catalog_, eager_options)
-                        .ValueOrDie()
-                        .Run(*catalog_)
-                        .ValueOrDie();
-  CompileOptions options;
-  options.target = ExecutorTarget::kPipelined;
-  options.num_threads = 4;
-  options.adaptive_morsels = true;
-  options.expr_backend = ExprBackend::kSimd;
-  CompiledQuery q = compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
-  for (int run = 0; run < 4; ++run) {
-    Table result = q.Run(*catalog_).ValueOrDie();
-    ExpectTablesIdentical(result, reference,
-                          "adaptive run " + std::to_string(run));
-  }
-  auto* pipelined = static_cast<PipelinedExecutor*>(q.executor());
-  EXPECT_TRUE(pipelined->adaptive_morsels());
-  EXPECT_GE(pipelined->current_morsel_rows(),
-            runtime::AdaptiveMorselController::kMinRows);
-  EXPECT_LE(pipelined->current_morsel_rows(),
-            runtime::AdaptiveMorselController::kMaxRows);
-  const std::string report = pipelined->FusionReport();
-  EXPECT_NE(report.find("(adaptive)"), std::string::npos) << report;
 }
 
 // ---- The point of it all: fewer BufferPool allocations ---------------------
@@ -1042,14 +857,10 @@ TEST(ExprFusionProbeTest, ProbeSeedsMorselZeroInsteadOfDiscardingIt) {
           ->Run({at, bt})
           .ValueOrDie()[0];
 
+  const int64_t per_run = (rows + morsel - 1) / morsel;
   int64_t last = pipelined->num_morsel_evals();
   EXPECT_EQ(last, 0);
   for (int run = 0; run < 3; ++run) {
-    // current_morsel_rows() is the size the next RunPipeline reads at entry
-    // (10 here, unless the environment forces adaptive sizing, whose lower
-    // bound overrides small static sizes).
-    const int64_t size = pipelined->current_morsel_rows();
-    const int64_t per_run = (rows + size - 1) / size;
     const Tensor result = pipelined->Run({at, bt}).ValueOrDie()[0];
     ASSERT_EQ(std::memcmp(result.raw_data(), reference.raw_data(),
                           static_cast<size_t>(reference.nbytes())),
