@@ -192,6 +192,8 @@ std::string TraceSession::ToChromeTrace(const std::string& process_name) const {
 
 TraceContextState CaptureTraceContext() { return tls_trace.ctx; }
 
+void FlushThreadTrace() { FlushTlsBuffer(); }
+
 TraceContext::TraceContext(const TraceContextState& state)
     : prev_(tls_trace.ctx) {
   tls_trace.ctx = state;

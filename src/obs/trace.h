@@ -134,6 +134,12 @@ struct TraceContextState {
 /// ThreadPool::Submit / StepScheduler::Submit task wrappers).
 TraceContextState CaptureTraceContext();
 
+/// \brief Moves the calling thread's buffered events into their session now.
+/// A pool task that signals its completion to a waiter calls this first: the
+/// waiter may export or destroy the session as soon as it wakes, and the
+/// task wrapper's ~TraceContext flush runs only after the signal.
+void FlushThreadTrace();
+
 /// \brief RAII ambient trace context, mirroring QueryScope::Attach. The
 /// destructor restores the previous context and flushes the thread's pending
 /// event buffer, so a session's events are all flushed once every context

@@ -236,7 +236,7 @@ Result<Tensor> ExternalSortRows(const runtime::ParallelContext& ctx,
   const int64_t num_runs = int64_t{1} << bits;
   if (num_runs <= 1 || n <= 1) {
     if (stats != nullptr) stats->partitions = 1;
-    return runtime::ParallelArgsortRows(ctx, keys, ascending);
+    return kernels::ArgsortRows(keys, ascending);
   }
   const int64_t run_rows = (n + num_runs - 1) / num_runs;
   // Merge pins one page per run; under a budget the pinned frontier must

@@ -96,14 +96,8 @@ Result<Tensor> ParallelSegmentedReduce(const ParallelContext& ctx, ReduceOpKind 
                                        const Tensor& segment_ids,
                                        int64_t num_segments);
 
-/// \brief Parallel stable argsort: chunks are stable-sorted concurrently and
-/// then pairwise stable-merged (ties take the lower chunk, i.e. the lower
-/// original index). A stable sort's permutation is unique, so this equals
-/// std::stable_sort's answer exactly.
-Result<Tensor> ParallelArgsortRows(const ParallelContext& ctx, const Tensor& a,
-                                   bool ascending);
-
-/// \brief Binary searches are independent per probe row.
+/// \brief Searches are independent per probe row; each morsel's call keeps
+/// only O(1) state (no per-call index over `sorted`).
 Result<Tensor> ParallelSearchSorted(const ParallelContext& ctx, const Tensor& sorted,
                                     const Tensor& values, bool right);
 

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/sync.h"
+#include "obs/trace.h"
 #include "runtime/step_scheduler.h"
 
 namespace tqp::runtime {
@@ -85,6 +86,9 @@ Status TaskGraph::RunImpl(ThreadPool* pool, StepScheduler* steps) {
           submit(succ);
         }
       }
+      // The last completion lets Run return and the traced query end, so
+      // this task's events must reach the session first.
+      obs::FlushThreadTrace();
       if (state->completed.fetch_add(1, std::memory_order_acq_rel) == num_tasks() - 1) {
         MutexLock lock(state->mu);
         state->done_cv.NotifyAll();

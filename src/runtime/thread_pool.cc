@@ -105,9 +105,11 @@ void ThreadPool::Submit(std::function<void()> task) {
   }
   // Tasks likewise inherit the submitter's ambient trace context (session +
   // query id + submitting span), so a traced query's fan-out records into
-  // its session from any worker, parented to the span that spawned it. Same
-  // lifetime argument as the scope above: fan-out joins before the traced
-  // run returns, and every context detach flushes the thread buffer.
+  // its session from any worker, parented to the span that spawned it. The
+  // detach below runs after `inner` has signalled its waiter, so tasks that
+  // signal (ParallelFor helpers, TaskGraph nodes) call FlushThreadTrace
+  // before signalling; the detach then finds the buffer empty and never
+  // touches a session its owner may already have destroyed.
   if (const obs::TraceContextState trace = obs::CaptureTraceContext();
       trace.session != nullptr) {
     task = [trace, inner = std::move(task)] {
@@ -259,6 +261,7 @@ Status ThreadPool::ParallelFor(
     // Slot 0 is the caller; helper h owns slot h + 1.
     Submit([state, drain, h] {
       drain(h + 1);
+      obs::FlushThreadTrace();  // before the caller can see this helper exit
       if (state->unfinished_helpers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         MutexLock lock(state->mu);
         state->done_cv.NotifyAll();

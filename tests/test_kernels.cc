@@ -4,10 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <type_traits>
+#include <vector>
 
 #include "common/random.h"
 #include "kernels/kernels.h"
+#include "runtime/parallel_kernels.h"
+#include "runtime/thread_pool.h"
 
 namespace tqp {
 namespace {
@@ -359,6 +367,268 @@ TEST(SortTest, ArgsortPropertyRandom) {
       const int64_t p = perm.at<int64_t>(i);
       ASSERT_FALSE(seen[static_cast<size_t>(p)]);
       seen[static_cast<size_t>(p)] = true;
+    }
+  }
+}
+
+// ---- Sort-layer property tests: radix argsort and interpolated searchsorted --
+//
+// ArgsortRows must return exactly std::stable_sort's permutation (a stable
+// sort's permutation is unique) and SearchSorted exactly std::lower_bound /
+// std::upper_bound, on every dtype and key shape the radix / interpolation
+// paths special-case, plus the fallback inputs (NaN keys).
+
+template <typename T>
+std::vector<int64_t> ReferenceArgsort(const Tensor& a, bool ascending) {
+  const T* p = a.data<T>();
+  const int64_t cols = a.cols();
+  std::vector<int64_t> perm(static_cast<size_t>(a.rows()));
+  std::iota(perm.begin(), perm.end(), int64_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](int64_t i, int64_t j) {
+    for (int64_t c = 0; c < cols; ++c) {
+      const T x = p[i * cols + c];
+      const T y = p[j * cols + c];
+      if (x < y) return ascending;
+      if (y < x) return !ascending;
+    }
+    return false;
+  });
+  return perm;
+}
+
+std::vector<int64_t> ToVector(const Tensor& t) {
+  return std::vector<int64_t>(t.data<int64_t>(), t.data<int64_t>() + t.rows());
+}
+
+// Tensor::FromVector without the contiguous-storage requirement (vector<bool>).
+template <typename T>
+Tensor ColumnOf(const std::vector<T>& values) {
+  Tensor t = Tensor::Empty(DTypeOf<T>::value, static_cast<int64_t>(values.size()), 1)
+                 .ValueOrDie();
+  for (size_t i = 0; i < values.size(); ++i) t.mutable_data<T>()[i] = values[i];
+  return t;
+}
+
+// Key shapes the kernels special-case.
+enum class KeyShape { kSmallDomain, kMidRange, kFullRange, kExtremes, kAllEqual, kSorted };
+constexpr KeyShape kKeyShapes[] = {KeyShape::kSmallDomain, KeyShape::kMidRange,
+                                   KeyShape::kFullRange,   KeyShape::kExtremes,
+                                   KeyShape::kAllEqual,    KeyShape::kSorted};
+
+template <typename T>
+T DrawKey(Rng* rng, KeyShape shape) {
+  using L = std::numeric_limits<T>;
+  switch (shape) {
+    case KeyShape::kSmallDomain:
+      if constexpr (std::is_floating_point_v<T>) {
+        // -0.0 and +0.0 tie under operator<; the radix map must fold them.
+        const T v[] = {T{-0.0}, T{0.0}, T{1}, T{-1}, T{0.5}};
+        return v[rng->Uniform(0, 4)];
+      } else {
+        return static_cast<T>(rng->Uniform(0, 4));
+      }
+    case KeyShape::kMidRange:
+      if constexpr (std::is_same_v<T, bool>) {
+        return rng->Bernoulli(0.5);
+      } else if constexpr (std::is_floating_point_v<T>) {
+        return static_cast<T>(rng->UniformDouble(-1e4, 1e4));
+      } else {
+        return static_cast<T>(rng->Uniform(std::max<int64_t>(L::lowest(), -100000),
+                                           std::min<int64_t>(L::max(), 100000)));
+      }
+    case KeyShape::kFullRange: {
+      // Hash-like keys: every bit pattern (NaN patterns replaced by -0.0).
+      const uint64_t bits = rng->Next();
+      if constexpr (std::is_same_v<T, bool>) {
+        return (bits & 1) != 0;
+      } else {
+        T v;
+        std::memcpy(&v, &bits, sizeof(T));
+        if constexpr (std::is_floating_point_v<T>) {
+          if (std::isnan(v)) v = T{-0.0};
+        }
+        return v;
+      }
+    }
+    case KeyShape::kExtremes: {
+      T v[] = {L::lowest(), L::max(), T{0}, T{1}, L::lowest(), L::max()};
+      if constexpr (std::is_floating_point_v<T>) {
+        v[4] = -L::infinity();
+        v[5] = L::infinity();
+      }
+      return v[rng->Uniform(0, 5)];
+    }
+    case KeyShape::kAllEqual:
+    case KeyShape::kSorted:
+      break;
+  }
+  return T{1};
+}
+
+template <typename T>
+Tensor MakeKeys(Rng* rng, KeyShape shape, int64_t n) {
+  Tensor t = Tensor::Empty(DTypeOf<T>::value, n, 1).ValueOrDie();
+  T* p = t.mutable_data<T>();
+  for (int64_t i = 0; i < n; ++i) {
+    p[i] = DrawKey<T>(rng, shape == KeyShape::kSorted ? KeyShape::kMidRange : shape);
+  }
+  if (shape == KeyShape::kSorted) std::sort(p, p + n);
+  return t;
+}
+
+template <typename T>
+void CheckSearchSorted(Rng* rng, const Tensor& keys, KeyShape shape) {
+  // Sorted build side from the keys, probes from the same shape plus values
+  // below, above and between the sorted keys.
+  std::vector<T> sorted(keys.data<T>(), keys.data<T>() + keys.rows());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<T> probes;
+  for (int i = 0; i < 64; ++i) probes.push_back(DrawKey<T>(rng, shape));
+  probes.push_back(std::numeric_limits<T>::lowest());
+  probes.push_back(std::numeric_limits<T>::max());
+  for (size_t i = 0; i < sorted.size(); i += 1 + sorted.size() / 50) {
+    probes.push_back(sorted[i]);
+    if constexpr (std::is_same_v<T, bool>) {
+      probes.push_back(!sorted[i]);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      probes.push_back(std::nextafter(sorted[i], std::numeric_limits<T>::infinity()));
+      probes.push_back(std::nextafter(sorted[i], -std::numeric_limits<T>::infinity()));
+    } else {
+      if (sorted[i] != std::numeric_limits<T>::max()) probes.push_back(sorted[i] + 1);
+      if (sorted[i] != std::numeric_limits<T>::lowest()) probes.push_back(sorted[i] - 1);
+    }
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    for (T& v : probes) {
+      if (std::isnan(v)) v = T{0};
+    }
+  }
+  const Tensor s = ColumnOf(sorted);
+  const Tensor v = ColumnOf(probes);
+  const std::vector<int64_t> lo = ToVector(SearchSorted(s, v, false).ValueOrDie());
+  const std::vector<int64_t> hi = ToVector(SearchSorted(s, v, true).ValueOrDie());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(lo[i], std::lower_bound(sorted.begin(), sorted.end(), probes[i]) -
+                         sorted.begin())
+        << "lower probe " << i << " of " << sorted.size() << " keys";
+    ASSERT_EQ(hi[i], std::upper_bound(sorted.begin(), sorted.end(), probes[i]) -
+                         sorted.begin())
+        << "upper probe " << i << " of " << sorted.size() << " keys";
+  }
+}
+
+template <typename T>
+void CheckSortLayerOnDtype(uint64_t seed) {
+  Rng rng(seed);
+  const int64_t sizes[] = {0, 1, 2, 3, 17, 300, 2049, 5000};
+  for (KeyShape shape : kKeyShapes) {
+    for (int64_t n : sizes) {
+      const Tensor keys = MakeKeys<T>(&rng, shape, n);
+      for (bool ascending : {true, false}) {
+        ASSERT_EQ(ToVector(ArgsortRows(keys, ascending).ValueOrDie()),
+                  ReferenceArgsort<T>(keys, ascending))
+            << DTypeName(DTypeOf<T>::value) << " shape " << static_cast<int>(shape)
+            << " n=" << n << (ascending ? " asc" : " desc");
+      }
+      CheckSearchSorted<T>(&rng, keys, shape);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SortPropertyTest, ArgsortAndSearchSortedMatchStdOnEveryDtype) {
+  CheckSortLayerOnDtype<bool>(1);
+  CheckSortLayerOnDtype<uint8_t>(2);
+  CheckSortLayerOnDtype<int32_t>(3);
+  CheckSortLayerOnDtype<int64_t>(4);
+  CheckSortLayerOnDtype<float>(5);
+  CheckSortLayerOnDtype<double>(6);
+}
+
+TEST(SortPropertyTest, Int64ExtremesAndWideRangeAtScale) {
+  // 70k full-range keys take the wide (indirect, six-digit) radix path; the
+  // INT64_MIN / INT64_MAX pair spans the whole order-preserving image.
+  Rng rng(7);
+  for (KeyShape shape : {KeyShape::kFullRange, KeyShape::kExtremes}) {
+    const Tensor keys = MakeKeys<int64_t>(&rng, shape, 70000);
+    for (bool ascending : {true, false}) {
+      ASSERT_EQ(ToVector(ArgsortRows(keys, ascending).ValueOrDie()),
+                ReferenceArgsort<int64_t>(keys, ascending));
+    }
+  }
+  const Tensor pair = Tensor::FromVector<int64_t>(
+      {std::numeric_limits<int64_t>::max(), std::numeric_limits<int64_t>::min()});
+  EXPECT_EQ(ToVector(ArgsortRows(pair).ValueOrDie()), (std::vector<int64_t>{1, 0}));
+  EXPECT_EQ(ToVector(ArgsortRows(pair, false).ValueOrDie()), (std::vector<int64_t>{0, 1}));
+}
+
+TEST(SortPropertyTest, SignedZerosTieAndNaNKeysTakeTheComparisonPath) {
+  // -0.0 == +0.0 under operator<, so a stable sort keeps their input order.
+  const Tensor zeros = Tensor::FromVector<double>({0.0, -0.0, 1.0, -0.0, 0.0, -1.0});
+  EXPECT_EQ(ToVector(ArgsortRows(zeros).ValueOrDie()),
+            (std::vector<int64_t>{5, 0, 1, 3, 4, 2}));
+  EXPECT_EQ(ToVector(ArgsortRows(zeros, false).ValueOrDie()),
+            (std::vector<int64_t>{2, 0, 1, 3, 4, 5}));
+  Rng rng(8);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int64_t n = rng.Uniform(1, 400);
+    Tensor f = MakeKeys<float>(&rng, KeyShape::kSmallDomain, n);
+    Tensor d = MakeKeys<double>(&rng, KeyShape::kMidRange, n);
+    f.mutable_data<float>()[rng.Uniform(0, n - 1)] = std::nanf("");
+    d.mutable_data<double>()[rng.Uniform(0, n - 1)] = std::nan("");
+    for (bool ascending : {true, false}) {
+      ASSERT_EQ(ToVector(ArgsortRows(f, ascending).ValueOrDie()),
+                ReferenceArgsort<float>(f, ascending));
+      ASSERT_EQ(ToVector(ArgsortRows(d, ascending).ValueOrDie()),
+                ReferenceArgsort<double>(d, ascending));
+    }
+  }
+}
+
+TEST(SortPropertyTest, MultiColumnByteRowsMatchStableSort) {
+  // Padded strings: 2-25 columns, a small alphabet (long common prefixes)
+  // and variable lengths (trailing zero padding, some all-zero columns).
+  Rng rng(9);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int64_t cols = rng.Uniform(2, 25);
+    const int64_t n = trial < 3 ? trial : rng.Uniform(3, 3000);
+    Tensor t = Tensor::Empty(DType::kUInt8, n, cols).ValueOrDie();
+    uint8_t* p = t.mutable_data<uint8_t>();
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t len = rng.Uniform(0, cols - 1);
+      for (int64_t c = 0; c < cols; ++c) {
+        p[i * cols + c] =
+            c < len ? static_cast<uint8_t>(trial % 2 == 0 ? 'a' + rng.Uniform(0, 2)
+                                                           : rng.Uniform(0, 255))
+                    : 0;
+      }
+    }
+    for (bool ascending : {true, false}) {
+      ASSERT_EQ(ToVector(ArgsortRows(t, ascending).ValueOrDie()),
+                ReferenceArgsort<uint8_t>(t, ascending))
+          << "cols=" << cols << " n=" << n;
+    }
+  }
+}
+
+TEST(SortPropertyTest, ParallelSearchSortedMatchesSerialAtEveryMorselSize) {
+  // Each morsel's call interpolates over the whole sorted side on its own;
+  // any state carried across a morsel split would show here.
+  runtime::ThreadPool pool(4);
+  Rng rng(10);
+  const Tensor keys = MakeKeys<int64_t>(&rng, KeyShape::kMidRange, 20000);
+  const Tensor sorted = Gather(keys, ArgsortRows(keys).ValueOrDie()).ValueOrDie();
+  const Tensor probes = MakeKeys<int64_t>(&rng, KeyShape::kMidRange, 20000);
+  for (int64_t morsel : {1, 7, 8192}) {
+    runtime::ParallelContext ctx;
+    ctx.pool = &pool;
+    ctx.morsel_rows = morsel;
+    ctx.min_parallel_rows = 1;
+    for (bool right : {false, true}) {
+      EXPECT_EQ(
+          ToVector(runtime::ParallelSearchSorted(ctx, sorted, probes, right).ValueOrDie()),
+          ToVector(SearchSorted(sorted, probes, right).ValueOrDie()))
+          << "morsel " << morsel << (right ? " right" : " left");
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "obs/trace.h"
 #include "profiler/profiler.h"
 #include "runtime/session.h"
+#include "runtime/task_graph.h"
 #include "runtime/thread_pool.h"
 #include "tensor/buffer_pool.h"
 #include "tpch/dbgen.h"
@@ -233,6 +235,38 @@ TEST(TraceTest, ChromeTraceExportShape) {
   EXPECT_NE(json.find("unit"), std::string::npos);
 }
 
+TEST(TraceTest, FanOutEventsReachTheSessionBeforeTheJoinReturns) {
+  // The owner destroys its session the moment the traced fan-out joins: a
+  // pool task still holding buffered events would then flush them into freed
+  // memory (ASan: heap-use-after-free) or, before that, lose them (a short
+  // event count). Both pool join paths are covered: ParallelFor helpers and
+  // TaskGraph nodes.
+  runtime::ThreadPool pool(4);
+  constexpr int kMorsels = 64;
+  constexpr int kNodes = 16;
+  for (int round = 0; round < 100; ++round) {
+    auto session = std::make_unique<obs::TraceSession>();
+    {
+      obs::TraceContext ctx(session.get(), session->NextQueryId());
+      ASSERT_TRUE(pool.ParallelFor(kMorsels, 1, [](int64_t, int64_t) {
+                        obs::TraceSpan span("test", "morsel");
+                        return Status::OK();
+                      }).ok());
+      runtime::TaskGraph graph;
+      for (int i = 0; i < kNodes; ++i) {
+        graph.AddTask([] {
+          obs::TraceSpan span("test", "node");
+          return Status::OK();
+        });
+      }
+      ASSERT_TRUE(graph.Run(&pool).ok());
+    }
+    ASSERT_EQ(session->num_events(), static_cast<size_t>(kMorsels + kNodes))
+        << "round " << round;
+    session.reset();
+  }
+}
+
 // ---- profiler on the span layer --------------------------------------------
 
 TEST(ProfilerTest, RecordsReadsAndResetOnSpanLayer) {
@@ -267,6 +301,10 @@ class ObsTpchTest : public ::testing::Test {
     tpch::DbgenOptions options;
     options.scale_factor = 0.01;
     TQP_CHECK_OK(tpch::GenerateAll(options, catalog_));
+  }
+  static void TearDownTestSuite() {
+    delete catalog_;
+    catalog_ = nullptr;
   }
   static Catalog* catalog_;
 };

@@ -25,6 +25,10 @@ class TpchFixture : public ::testing::Test {
     options.scale_factor = 0.01;  // ~60k lineitems: fast but non-trivial
     TQP_CHECK_OK(tpch::GenerateAll(options, catalog_));
   }
+  static void TearDownTestSuite() {
+    delete catalog_;
+    catalog_ = nullptr;
+  }
   static Catalog* catalog_;
 };
 
